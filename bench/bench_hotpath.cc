@@ -122,6 +122,29 @@ main()
                       q.cancel(id);
               });
 
+    // The hold model at the simulator's operating point: ~11 pending
+    // events. Ten periodic events each re-schedule themselves 1-10 us
+    // after firing; one timer is cancelled and re-armed 20 us ahead on
+    // every op, as the kernel does with its slice and sampler timers,
+    // so it never reaches the head.
+    suite.add("event_queue.hold_depth11", 2000000,
+              [](std::uint64_t iters) {
+                  sim::EventQueue q;
+                  for (sim::SimTime i = 0; i < 10; ++i)
+                      q.schedule(i * 1000, [] {});
+                  sim::EventId timer = q.schedule(20000, [] {});
+                  for (std::uint64_t i = 0; i < iters; ++i) {
+                      auto [when, cb] = q.pop();
+                      cb();
+                      q.schedule(when + 1000 *
+                                     static_cast<sim::SimTime>(
+                                         1 + (i * 7919) % 10),
+                                 [] {});
+                      q.cancel(timer);
+                      timer = q.schedule(when + 20000, [] {});
+                  }
+              });
+
     {
         telemetry::Registry registry;
         telemetry::Counter &counter =

@@ -1,49 +1,23 @@
 /**
  * @file
  * The discrete-event core: a time-ordered queue of callbacks with
- * stable FIFO ordering among same-time events and O(1) cancel
+ * stable FIFO ordering among same-time events and exact cancel
  * support via generation-checked event handles.
  *
- * Structure (ISSUE 8 hot-path pass): a calendar-queue / timing-wheel
- * hybrid replacing the former std::priority_queue. Pending events
- * live in one of two places:
+ * Structure: an indexed binary min-heap of pooled node slots ordered
+ * by (when, seq). Each node records its heap position, so cancel()
+ * removes the event eagerly with one sift and the heap holds only
+ * live events. At the simulator's operating point (about a dozen
+ * pending events) every operation is a few compares. EventId packs
+ * (generation << 32 | slot + 1), so cancelling an already-fired or
+ * already-cancelled id is a clean false.
  *
- *  - `curHeap_`, a small binary min-heap ordered by (when, seq),
- *    holding every event due before `curTop_` (the upper edge of the
- *    wheel bucket the cursor is on). Its top is always the global
- *    minimum, so peek/pop are O(log h) in the handful of events due
- *    "now" — and same-timestamp floods degrade gracefully to plain
- *    heap behavior instead of quadratic bucket scans.
- *
- *  - the wheel: `buckets_[i]` is an unsorted vector of entries with
- *    `when >= curTop_`, hashed by (when / width_) % buckets. As the
- *    cursor advances bucket by bucket, each bucket's newly due
- *    entries are swept into curHeap_. The bucket count is resized
- *    (and width_ re-derived from observed inter-event gaps) as the
- *    population grows/shrinks, giving O(1) amortized insert and pop.
- *    A direct-search fallback re-anchors the cursor after a full
- *    empty lap, so sparse far-future schedules never spin.
- *
- * The (when, seq) total order — and therefore every pop — is
- * byte-identical to the old heap's ordering: seq is handed out
- * monotonically under the lock exactly as before.
- *
- * Nodes (callback + bookkeeping) are recycled through a flat slot
- * vector with an index free list; EventId packs
- * (generation << 32 | slot), so cancel() is an O(1) exact test: it
- * returns true iff the event is still pending, and cancelling an
- * already-fired or already-cancelled id is a clean false (the old
- * implementation's lazy blacklist miscounted that case).
- *
- * Thread safety (shard-readiness, ROADMAP Open item 1): the insertion
- * surface — schedule()/cancel() — is what other shards touch when
- * they post cross-shard events (conservative PDES null messages,
- * remote segment deliveries), so the whole queue serializes on one
- * annotated util::SpinLock (critical sections are a few dozen
- * nanoseconds; a futex mutex costs more than the work it guards).
- * Pop ordering stays deterministic: the
- * (time, sequence) total order is unaffected by which thread inserted
- * an entry, only by the sequence numbers handed out under the lock.
+ * Thread safety: schedule()/cancel() are the sanctioned cross-shard
+ * scheduling surface, so the whole queue serializes on one annotated
+ * util::SpinLock (critical sections are a few dozen nanoseconds; a
+ * futex mutex costs more than the work it guards). Pop order stays
+ * deterministic: it depends only on the sequence numbers handed out
+ * under the lock, not on which thread inserted an entry.
  */
 
 #ifndef PCON_SIM_EVENT_QUEUE_H
@@ -68,9 +42,9 @@ using EventId = std::uint64_t;
 constexpr EventId InvalidEventId = 0;
 
 /**
- * A calendar queue of (time, sequence, callback) entries. Events at
+ * A binary heap of (time, sequence, callback) entries. Events at
  * equal times fire in scheduling order. Cancellation is exact and
- * O(1) via generation-checked handles.
+ * O(log n) via generation-checked handles.
  */
 class PCON_CROSS_SHARD EventQueue
 {
@@ -83,8 +57,6 @@ class PCON_CROSS_SHARD EventQueue
      */
     using Callback = util::InlineFunction<void(), 32>;
 
-    EventQueue();
-
     /** Schedule a callback at absolute time `when`. */
     EventId schedule(SimTime when, Callback cb);
 
@@ -96,25 +68,22 @@ class PCON_CROSS_SHARD EventQueue
      */
     bool cancel(EventId id);
 
-    /** True when no live events remain. O(1). */
+    /** True when no events are pending. O(1). */
     bool empty() const;
 
-    /** Number of live (non-cancelled) pending events. O(1). */
+    /** Number of pending events. O(1). */
     std::size_t size() const;
 
-    /** Time of the earliest live event; panics when empty. */
+    /** Time of the earliest event; panics when empty. */
     SimTime nextTime() const;
 
-    /**
-     * Pop and return the earliest live event; panics when empty.
-     * @return pair of fire time and callback.
-     */
+    /** Pop the earliest event as (time, callback); panics when empty. */
     std::pair<SimTime, Callback> pop();
 
     /**
      * Fused empty/nextTime/pop for the simulation run loop: pop the
-     * earliest live event iff its time is <= `until`. One lock
-     * acquisition and one min lookup per event instead of three.
+     * earliest event iff its time is <= `until`. One lock
+     * acquisition per event instead of three.
      * @return nullopt when the queue is empty or the head is later
      *         than `until`.
      */
@@ -127,75 +96,29 @@ class PCON_CROSS_SHARD EventQueue
         Callback cb;
         SimTime when = 0;
         std::uint64_t seq = 0;
-        /** Bumped on fire/cancel so stale handles and wheel entries
-         *  are detected exactly. */
+        /** Index of this slot in heap_ while pending. */
+        std::uint32_t pos = 0;
+        /** Bumped on fire/cancel so stale handles are detected. */
         std::uint32_t gen = 1;
     };
 
-    /** Lightweight handle stored in buckets and the due-heap. */
-    struct WheelEntry
-    {
-        SimTime when;
-        std::uint64_t seq;
-        std::uint32_t slot;
-        std::uint32_t gen;
-    };
-
-    /**
-     * Min-heap comparator: true when `a` fires after `b`. A functor
-     * (not a function pointer) so std::push_heap/pop_heap inline the
-     * comparison — as a pointer it was an indirect call per compare,
-     * tens of millions of them per benchmark run.
-     */
-    struct Later
-    {
-        bool
-        operator()(const WheelEntry &a, const WheelEntry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    std::uint32_t acquireSlot() PCON_REQUIRES(mu_);
-    void releaseSlot(std::uint32_t slot) const PCON_REQUIRES(mu_);
-    bool stale(const WheelEntry &e) const PCON_REQUIRES(mu_);
-    std::size_t bucketIndex(SimTime when) const PCON_REQUIRES(mu_);
-    void heapPush(const WheelEntry &e) const PCON_REQUIRES(mu_);
-    void pruneHeapTop() const PCON_REQUIRES(mu_);
-    /** Sweep bucket `b`'s entries due before curTop_ into the heap. */
-    void sweepBucket(std::size_t b) const PCON_REQUIRES(mu_);
-    /** Advance the cursor until curHeap_ holds the global minimum.
-     *  Requires live_ > 0. */
-    void advanceToMin() const PCON_REQUIRES(mu_);
-    /** Re-anchor the cursor directly on the earliest wheel entry. */
-    void jumpToMin() const PCON_REQUIRES(mu_);
-    /** Rehash into `nbuckets` buckets with a freshly derived width. */
-    void rebuild(std::size_t nbuckets) const PCON_REQUIRES(mu_);
-    SimTime chooseWidth(const std::vector<WheelEntry> &all) const
+    /** Heap order: true when slot `a` fires before slot `b`. */
+    bool earlier(std::uint32_t a, std::uint32_t b) const
         PCON_REQUIRES(mu_);
+    /** Store `slot` at heap index `pos` and record the position. */
+    void place(std::size_t pos, std::uint32_t slot) PCON_REQUIRES(mu_);
+    void siftUp(std::size_t pos) PCON_REQUIRES(mu_);
+    void siftDown(std::size_t pos) PCON_REQUIRES(mu_);
+    /** Unlink `slot` from the heap and recycle it. */
+    void remove(std::uint32_t slot) PCON_REQUIRES(mu_);
     std::pair<SimTime, Callback> popTop() PCON_REQUIRES(mu_);
 
     mutable util::SpinLock mu_;
-    /** Slot-indexed event nodes, recycled via freeSlots_. Entries
-     *  are addressed by index only, so vector reallocation is safe
-     *  (Callback moves are a flat memcpy). */
-    mutable std::vector<Node> nodes_ PCON_GUARDED_BY(mu_);
-    mutable std::vector<std::uint32_t> freeSlots_ PCON_GUARDED_BY(mu_);
-    /** The wheel: unsorted per-bucket entry vectors. */
-    mutable std::vector<std::vector<WheelEntry>> buckets_
-        PCON_GUARDED_BY(mu_);
-    /** Min-heap of entries due before curTop_ (laterThan order). */
-    mutable std::vector<WheelEntry> curHeap_ PCON_GUARDED_BY(mu_);
-    /** Bucket time span; re-derived from event gaps on rebuild. */
-    mutable SimTime width_ PCON_GUARDED_BY(mu_);
-    /** Upper time edge of the cursor bucket's current lap. */
-    mutable SimTime curTop_ PCON_GUARDED_BY(mu_);
-    mutable std::size_t cursor_ PCON_GUARDED_BY(mu_) = 0;
-    mutable std::size_t live_ PCON_GUARDED_BY(mu_) = 0;
-    /** Empty-lap re-anchors since the last width re-derivation. */
-    mutable std::size_t jumps_ PCON_GUARDED_BY(mu_) = 0;
+    /** Slot-indexed event nodes, recycled via freeSlots_. */
+    std::vector<Node> nodes_ PCON_GUARDED_BY(mu_);
+    std::vector<std::uint32_t> freeSlots_ PCON_GUARDED_BY(mu_);
+    /** Min-heap of pending slots in (when, seq) order. */
+    std::vector<std::uint32_t> heap_ PCON_GUARDED_BY(mu_);
     std::uint64_t nextSeq_ PCON_GUARDED_BY(mu_) = 1;
 };
 

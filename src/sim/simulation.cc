@@ -22,22 +22,30 @@ Simulation::scheduleAt(SimTime when, EventQueue::Callback cb)
     return events_.schedule(when, std::move(cb));
 }
 
+bool
+Simulation::fireNext(SimTime until)
+{
+    // Fused pop: one queue operation (and one lock) per event
+    // instead of the empty/nextTime/pop triple.
+    auto due = events_.popDue(until);
+    if (!due)
+        return false;
+    auto &[when, cb] = *due;
+    util::panicIf(when < now_, "event queue went backwards");
+    now_ = when;
+    cb();
+    ++eventsExecuted_;
+    if (!auditors_.empty())
+        maybeAudit();
+    return true;
+}
+
 std::uint64_t
 Simulation::run(SimTime until)
 {
     std::uint64_t executed = 0;
-    // Fused pop: one queue operation (and one lock) per event
-    // instead of the empty/nextTime/pop triple.
-    while (auto due = events_.popDue(until)) {
-        auto &[when, cb] = *due;
-        util::panicIf(when < now_, "event queue went backwards");
-        now_ = when;
-        cb();
+    while (fireNext(until))
         ++executed;
-        ++eventsExecuted_;
-        if (!auditors_.empty())
-            maybeAudit();
-    }
     // Advance the clock to the horizon so back-to-back run() calls
     // observe contiguous time even across empty stretches.
     if (until != std::numeric_limits<SimTime>::max() && now_ < until)
@@ -53,17 +61,7 @@ Simulation::run(SimTime until)
 bool
 Simulation::step()
 {
-    auto due =
-        events_.popDue(std::numeric_limits<SimTime>::max());
-    if (!due)
-        return false;
-    auto &[when, cb] = *due;
-    now_ = when;
-    cb();
-    ++eventsExecuted_;
-    if (!auditors_.empty())
-        maybeAudit();
-    return true;
+    return fireNext(std::numeric_limits<SimTime>::max());
 }
 
 void

@@ -94,6 +94,13 @@ class Simulation
         std::uint64_t nextDue;
     };
 
+    /**
+     * Pop the earliest event due at or before `until`, advance the
+     * clock to it, fire it, and run any due auditors.
+     * @return false when no event is due.
+     */
+    bool fireNext(SimTime until);
+
     /** Run every auditor whose event cadence has elapsed. */
     void maybeAudit();
 

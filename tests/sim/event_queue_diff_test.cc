@@ -1,13 +1,13 @@
 /**
  * @file
- * Differential property test for the calendar-queue EventQueue
- * (ISSUE 8 satellite 1): drive the production queue and a retained
- * reference implementation — the original std::priority_queue design
- * with exact pending-set cancellation — through 1M randomized,
- * seeded schedule/pop/cancel/reschedule operations across
- * pathological time distributions (bursty, far-future jumps,
- * same-timestamp floods) and assert identical observable behavior:
- * pop order, pop times, payload identity, sizes, and cancel results.
+ * Differential property test for EventQueue: drive the production
+ * queue and a retained reference implementation — a
+ * std::priority_queue with exact pending-set cancellation — through
+ * 1M randomized, seeded schedule/pop/cancel/reschedule operations
+ * across pathological time distributions (bursty, far-future jumps,
+ * same-timestamp floods, shallow cancel-and-rearm timer churn) and
+ * assert identical observable behavior: pop order, pop times,
+ * payload identity, sizes, and cancel results.
  *
  * The test is deterministic (sim::Rng) and runs under the ASan/UBSan
  * and TSan presets like every other test in the suite; a failure
@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <queue>
 #include <unordered_map>
 #include <unordered_set>
@@ -32,12 +33,10 @@ namespace sim {
 namespace {
 
 /**
- * The pre-ISSUE-8 EventQueue design, kept as the ordering oracle:
- * a std::priority_queue of (when, seq, callback) with FIFO
- * tie-breaking — but with an exact pending-id set so cancel()
- * reports precisely "was pending, now cancelled" (the lazy
- * blacklist's miscount on already-fired ids is the bug class the
- * rewrite eliminates, so the oracle models the *intended*
+ * The ordering oracle: a std::priority_queue of (when, seq, callback)
+ * with FIFO tie-breaking and an exact pending-id set, so cancel()
+ * reports precisely "was pending, now cancelled" (a lazy blacklist
+ * would miscount already-fired ids; the oracle models the intended
  * semantics).
  */
 class ReferenceEventQueue
@@ -126,8 +125,10 @@ struct LivePair
 };
 
 /**
- * Time-distribution regimes the generator cycles through; each is a
- * pathological shape for a calendar queue.
+ * Time-distribution regimes a run cycles through. Each stresses a
+ * different part of any priority queue's ordering: wide key spread,
+ * dense near-ties, extreme key range, exact ties (FIFO by sequence),
+ * and removal from the middle of a shallow queue.
  */
 enum class Regime
 {
@@ -135,7 +136,11 @@ enum class Regime
     Bursty,     // tight clusters around a slowly advancing base
     FarFuture,  // occasional jumps ~days of sim-time ahead
     SameTime,   // floods of events at one identical timestamp
+    Rearm,      // ~11 pending timers, cancelled and re-armed per pop
 };
+
+/** Pending-timer depth the Rearm regime holds (the kernel's ~11). */
+constexpr std::size_t kRearmDepth = 11;
 
 SimTime
 drawWhen(Rng &rng, Regime regime, SimTime base)
@@ -149,25 +154,45 @@ drawWhen(Rng &rng, Regime regime, SimTime base)
             (rng.uniform() < 0.02 ? rng.uniformInt(0, 10'000'000)
                                   : 0);
     case Regime::FarFuture:
-        // Mostly near, occasionally ~3 sim-days out (well past any
-        // wheel horizon, forcing overflow + direct-search paths).
+        // Mostly near, occasionally ~3 sim-days out: outliers that
+        // stay pending while the near events churn past them.
         if (rng.uniform() < 0.1)
             return base +
                 rng.uniformInt(0, SimTime(1) << 48);
         return base + rng.uniformInt(0, 100'000);
     case Regime::SameTime:
         return base; // exact tie: FIFO order must hold
+    case Regime::Rearm:
+        // A timer armed 1 us-10 ms past `base` (the last pop), like
+        // the kernel's slice, sampler, and compute timers.
+        return base + rng.uniformInt(1'000, 10'000'000);
     }
     return base;
 }
 
+/** One parameterised run: a seed and the regimes it cycles through. */
+struct DiffCase
+{
+    std::uint64_t seed;
+    std::vector<Regime> regimes;
+};
+
+/** Name instances by seed alone: `<prefix>/EventQueueDiff.<test>/<seed>`. */
+void
+PrintTo(const DiffCase &c, std::ostream *os)
+{
+    *os << c.seed;
+}
+
 /**
  * Run `ops` randomized operations with mirrored state on both
- * queues, checking every observable on every step.
+ * queues, checking every observable on every step. The regime
+ * changes every 30k operations, cycling through `regimes`.
  */
 void
-runDifferential(std::uint64_t seed, std::size_t ops)
+runDifferential(const DiffCase &c, std::size_t ops)
 {
+    const std::uint64_t seed = c.seed;
     Rng rng(seed);
     EventQueue real;
     ReferenceEventQueue ref;
@@ -187,24 +212,29 @@ runDifferential(std::uint64_t seed, std::size_t ops)
     std::uint64_t real_popped = 0;
     std::uint64_t ref_popped = 0;
     SimTime base = 0;
+    SimTime now = 0; // time of the last pop
 
     for (std::size_t op = 0; op < ops; ++op) {
         // Cycle regimes in long phases so each pathology gets deep
         // coverage, including the transitions between them.
-        Regime regime =
-            static_cast<Regime>((op / 30'000) % 4);
+        Regime regime = c.regimes[(op / 30'000) % c.regimes.size()];
         if (op % 10'000 == 0)
             base += 1'000'000; // keep time creeping forward
         SCOPED_TRACE(::testing::Message()
                      << "seed=" << seed << " op=" << op);
 
+        // Rearm tops the queue up to kRearmDepth, then each op pops
+        // the head and re-arms one later timer (pop + reschedule).
+        bool rearm = regime == Regime::Rearm;
         double r = rng.uniform();
-        bool can_drain = !live.empty();
-        if (r < 0.50 || !can_drain) {
-            // Schedule a fresh event on both queues. The ~+0.1/op
-            // drift grows the population to ~100k, deep enough to
-            // force many wheel resizes in both directions.
-            SimTime when = drawWhen(rng, regime, base);
+        if (rearm)
+            r = live.size() < kRearmDepth ? 0.0 : 0.95;
+        if (r < 0.50 || live.empty()) {
+            // Schedule a fresh event on both queues. Outside Rearm
+            // the ~+0.1/op drift grows the population to ~100k, so
+            // ordering is checked deep in the queue and the size
+            // swings widely as the regimes change.
+            SimTime when = drawWhen(rng, regime, rearm ? now : base);
             std::uint64_t payload = next_payload++;
             EventId rid = real.schedule(
                 when, [&real_popped, payload] {
@@ -217,58 +247,63 @@ runDifferential(std::uint64_t seed, std::size_t ops)
             ASSERT_NE(rid, InvalidEventId);
             index[payload] = live.size();
             live.push_back(LivePair{rid, fid, payload});
-        } else if (r < 0.80) {
-            // Pop from both; order, time, and payload must agree.
-            ASSERT_EQ(real.empty(), ref.empty());
-            auto [rwhen, rcb] = real.pop();
-            auto [fwhen, fcb] = ref.pop();
-            ASSERT_EQ(rwhen, fwhen);
-            rcb();
-            fcb();
-            ASSERT_EQ(real_popped, ref_popped);
-            removeLive(index.at(real_popped));
-        } else if (r < 0.90) {
-            // Cancel a random live event on both queues.
-            std::size_t idx = static_cast<std::size_t>(
-                rng.uniformInt(0,
-                               static_cast<std::int64_t>(
-                                   live.size()) -
-                                   1));
-            ASSERT_TRUE(real.cancel(live[idx].realId));
-            ASSERT_TRUE(ref.cancel(live[idx].refId));
-            // Double-cancel is a clean false on both.
-            ASSERT_FALSE(real.cancel(live[idx].realId));
-            ASSERT_FALSE(ref.cancel(live[idx].refId));
-            removeLive(idx);
         } else {
-            // Reschedule: cancel + schedule at a fresh time, the
-            // kernel's timer-adjustment idiom.
-            std::size_t idx = static_cast<std::size_t>(
-                rng.uniformInt(0,
-                               static_cast<std::int64_t>(
-                                   live.size()) -
-                                   1));
-            ASSERT_TRUE(real.cancel(live[idx].realId));
-            ASSERT_TRUE(ref.cancel(live[idx].refId));
-            SimTime when = drawWhen(rng, regime, base);
-            std::uint64_t payload = next_payload++;
-            live[idx].realId = real.schedule(
-                when, [&real_popped, payload] {
-                    real_popped = payload;
-                });
-            live[idx].refId = ref.schedule(
-                when, [&ref_popped, payload] {
-                    ref_popped = payload;
-                });
-            index.erase(live[idx].payload);
-            index[payload] = idx;
-            live[idx].payload = payload;
+            if (r < 0.80 || rearm) {
+                // Pop from both; order, time, and payload must agree.
+                ASSERT_EQ(real.empty(), ref.empty());
+                auto [rwhen, rcb] = real.pop();
+                auto [fwhen, fcb] = ref.pop();
+                ASSERT_EQ(rwhen, fwhen);
+                now = rwhen;
+                rcb();
+                fcb();
+                ASSERT_EQ(real_popped, ref_popped);
+                removeLive(index.at(real_popped));
+            }
+            if (r >= 0.90) {
+                // Reschedule: cancel + schedule at a fresh time, the
+                // kernel's timer-adjustment idiom.
+                std::size_t idx = static_cast<std::size_t>(
+                    rng.uniformInt(0,
+                                   static_cast<std::int64_t>(
+                                       live.size()) -
+                                       1));
+                ASSERT_TRUE(real.cancel(live[idx].realId));
+                ASSERT_TRUE(ref.cancel(live[idx].refId));
+                SimTime when = drawWhen(rng, regime, rearm ? now : base);
+                std::uint64_t payload = next_payload++;
+                live[idx].realId = real.schedule(
+                    when, [&real_popped, payload] {
+                        real_popped = payload;
+                    });
+                live[idx].refId = ref.schedule(
+                    when, [&ref_popped, payload] {
+                        ref_popped = payload;
+                    });
+                index.erase(live[idx].payload);
+                index[payload] = idx;
+                live[idx].payload = payload;
+            } else if (r >= 0.80) {
+                // Cancel a random live event on both queues.
+                std::size_t idx = static_cast<std::size_t>(
+                    rng.uniformInt(0,
+                                   static_cast<std::int64_t>(
+                                       live.size()) -
+                                       1));
+                ASSERT_TRUE(real.cancel(live[idx].realId));
+                ASSERT_TRUE(ref.cancel(live[idx].refId));
+                // Double-cancel is a clean false on both.
+                ASSERT_FALSE(real.cancel(live[idx].realId));
+                ASSERT_FALSE(ref.cancel(live[idx].refId));
+                removeLive(idx);
+            }
         }
 
         ASSERT_EQ(real.size(), ref.size());
         ASSERT_EQ(real.size(), live.size());
-        if (!live.empty())
+        if (!live.empty()) {
             ASSERT_EQ(real.nextTime(), ref.nextTime());
+        }
     }
 
     // Drain completely: the full residual order must match.
@@ -286,21 +321,34 @@ runDifferential(std::uint64_t seed, std::size_t ops)
     EXPECT_THROW(real.nextTime(), util::PanicError);
 }
 
-class EventQueueDiff : public ::testing::TestWithParam<std::uint64_t>
+class EventQueueDiff : public ::testing::TestWithParam<DiffCase>
 {};
 
 /**
- * The headline run: 1M operations per seed across all four regimes
- * (uniform / bursty / far-future / same-timestamp floods), popping
- * and rescheduling throughout. ~250k ops land in each regime.
+ * The headline run: 1M operations per case. The Seeds instances
+ * cycle the four deep regimes (uniform / bursty / far-future /
+ * same-timestamp floods), popping and rescheduling throughout, so
+ * ~250k ops land in each. The Rearm instances hold ~11 pending timers
+ * and pop, cancel and re-arm on every op, as the kernel does.
  */
 TEST_P(EventQueueDiff, MillionOpPopOrderMatchesReference)
 {
     runDifferential(GetParam(), 1'000'000);
 }
 
+const std::vector<Regime> kDeepRegimes = {
+    Regime::Uniform, Regime::Bursty, Regime::FarFuture,
+    Regime::SameTime};
+
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueDiff,
-                         ::testing::Values(7, 8675309));
+                         ::testing::Values(DiffCase{7, kDeepRegimes},
+                                           DiffCase{8675309,
+                                                    kDeepRegimes}));
+
+INSTANTIATE_TEST_SUITE_P(
+    Rearm, EventQueueDiff,
+    ::testing::Values(DiffCase{7, {Regime::Rearm}},
+                      DiffCase{8675309, {Regime::Rearm}}));
 
 /** Pure same-timestamp flood: 50k ties must pop in FIFO order. */
 TEST(EventQueueDiffFocused, SameTimestampFloodPopsFifo)
