@@ -1,23 +1,70 @@
 /**
  * @file
- * Figure 4 reproduction: capture one WeBWorK request's execution as
- * it flows through the multi-stage server — Apache PHP worker, MySQL
- * thread over a persistent socket, forked latex and dvipng children,
- * disk I/O — annotated with the request container's power and
- * cumulative energy at each stage boundary, using the library's
- * RequestTracer facility.
+ * Figure 4 reproduction (and the Figure 4 smoke test): trace one
+ * WeBWorK request as it flows through the multi-stage server —
+ * Apache PHP worker, MySQL thread over a persistent socket, forked
+ * latex and dvipng children, disk I/O — with a trace::SpanTracer,
+ * and print its per-stage anatomy (attributed energy, power, on-CPU
+ * time, I/O bytes) and critical path from the span tree.
+ *
+ * Exits nonzero unless:
+ *
+ *  - every span of the request closed;
+ *  - the tree has the Figure 4 topology: an httpd stage, a MySQL
+ *    stage, latex and dvipng fork spans, and a disk I/O span;
+ *  - the request's span energies sum to its container record within
+ *    1e-6 J.
+ *
+ * Artifacts (inspect after a run):
+ *  - webwork_trace_spans.json     feed to tools/trace_report
+ *  - webwork_trace_perfetto.json  open in ui.perfetto.dev
  */
 
+#include <cmath>
 #include <cstdio>
 #include <memory>
+#include <string>
+#include <vector>
 
-#include "core/trace.h"
+#include "obs/energy_index.h"
+#include "obs/report.h"
 #include "telemetry/perfetto.h"
+#include "trace/export.h"
+#include "trace/span_json.h"
+#include "trace/span_tracer.h"
 #include "workloads/apps.h"
 #include "workloads/experiment.h"
 #include "workloads/microbench.h"
 
 using namespace pcon;
+
+namespace {
+
+int failures = 0;
+
+void
+check(bool ok, const char *what)
+{
+    if (!ok) {
+        std::fprintf(stderr, "FAIL: %s\n", what);
+        ++failures;
+    }
+}
+
+/** True when some span of `request` has this kind and name prefix. */
+bool
+hasSpan(const trace::SpanCollector &spans, os::RequestId request,
+        trace::SpanKind kind, const std::string &prefix)
+{
+    for (trace::SpanId id : spans.requestSpans(request)) {
+        const trace::Span &s = spans.span(id);
+        if (s.kind == kind && s.name.rfind(prefix, 0) == 0)
+            return true;
+    }
+    return false;
+}
+
+} // namespace
 
 int
 main()
@@ -26,7 +73,10 @@ main()
         wl::calibrateModel(hw::sandyBridgeConfig(),
                            core::ModelKind::WithChipShare));
     wl::ServerWorld world(hw::sandyBridgeConfig(), model);
-    core::RequestTracer tracer(world.kernel(), world.manager());
+    // Registered after the world's ContainerManager, so every span
+    // charge reads fresh container totals.
+    trace::SpanCollector spans;
+    trace::SpanTracer tracer(world.kernel(), world.manager(), spans, 0);
     world.kernel().addHooks(&tracer);
     // A Perfetto view of the same run: per-core scheduling, the fork
     // rebinds, device I/O, and per-container power counters.
@@ -48,13 +98,25 @@ main()
     app.submit(request, type);
     world.run(sim::sec(5));
 
-    std::printf("Captured WeBWorK request (%s) — compare Figure 4:\n"
+    obs::EnergyIndex index;
+    index.attach(spans);
+    std::printf("Traced WeBWorK request (%s) — compare Figure 4:\n"
                 "httpd PHP -> MySQL over a persistent socket -> fork "
                 "latex -> fork dvipng\n-> disk write -> response. "
-                "Attributed power/energy at each stage:\n\n%s",
-                type.c_str(), tracer.render(request).c_str());
+                "Attributed energy and power per stage:\n\n%s\n%s",
+                type.c_str(),
+                obs::reportStageBreakdown(index, request).c_str(),
+                obs::reportCriticalPath(index, request).c_str());
+    index.detach();
 
-    const core::RequestRecord &record = world.manager().records()[0];
+    const std::vector<core::RequestRecord> &records =
+        world.manager().records();
+    if (records.empty() || records[0].id != request) {
+        std::fputs("FAIL: the traced request did not complete\n",
+                   stderr);
+        return 1;
+    }
+    const core::RequestRecord &record = records[0];
     std::printf("\nRequest complete: %.1f ms end-to-end, %.1f ms "
                 "on-CPU, %.3f J total\n(%.3f J CPU/memory + %.3f J "
                 "device), mean power %.1f W.\n",
@@ -63,13 +125,32 @@ main()
                 record.cpuEnergyJ.value(), record.ioEnergyJ.value(),
                 record.meanPowerW.value());
 
-    tracer.writeCsv(request, "webwork_trace.csv");
+    check(spans.openCount() == 0, "every span closed");
+    check(hasSpan(spans, request, trace::SpanKind::Stage,
+                  "WeBWorK-worker"),
+          "httpd stage");
+    check(hasSpan(spans, request, trace::SpanKind::Stage, "mysqld-"),
+          "MySQL stage");
+    check(hasSpan(spans, request, trace::SpanKind::Fork, "latex"),
+          "latex fork span");
+    check(hasSpan(spans, request, trace::SpanKind::Fork, "dvipng"),
+          "dvipng fork span");
+    check(hasSpan(spans, request, trace::SpanKind::Io, "disk"),
+          "disk I/O span");
+    check(std::fabs((spans.requestEnergyJ(request) -
+                     record.totalEnergyJ()).value()) <= 1e-6,
+          "span energies sum to the container record");
+
+    trace::writeSpanJson(spans, "webwork_trace_spans.json");
     perfetto.finish();
+    trace::exportSpansToPerfetto(spans, perfetto);
     perfetto.write("webwork_trace_perfetto.json");
-    std::printf("\nTrace exported to webwork_trace.csv; Perfetto "
-                "trace (%zu slices, %zu tracks) to\n"
-                "webwork_trace_perfetto.json — open it in "
+    std::printf("\nSpans exported to webwork_trace_spans.json (feed to "
+                "tools/trace_report); Perfetto\ntrace (%zu slices, "
+                "%zu span slices, %zu tracks) to "
+                "webwork_trace_perfetto.json —\nopen it in "
                 "ui.perfetto.dev\n",
-                perfetto.sliceCount(), perfetto.trackCount());
-    return 0;
+                perfetto.sliceCount(), perfetto.spanSliceCount(),
+                perfetto.trackCount());
+    return failures == 0 ? 0 : 1;
 }

@@ -11,13 +11,14 @@
  * and must match `[a-z0-9_.]+`; dots form the conventional hierarchy
  * (`kernel.context_switches`, `overhead.refit_cycles`).
  *
- * Thread safety (shard-readiness, ROADMAP Open item 1): the registry
- * is shared by every machine shard. Counter updates go to per-writer
- * cache-line-padded shards (relaxed atomics) merged deterministically
- * at read; Gauge updates are relaxed atomics (tallies, not
- * synchronization); Histogram updates and all registration/iteration
- * take annotated util::Mutex locks, so a Clang -Wthread-safety build
- * proves the guarded state is only touched under its lock.
+ * Thread safety (worlds may run on separate threads in the parallel
+ * sweeps of ROADMAP item 3): the registry may be shared by several.
+ * Counter updates go to per-writer cache-line-padded shards (relaxed
+ * atomics) merged deterministically at read; Gauge updates are
+ * relaxed atomics (tallies, not synchronization); Histogram updates
+ * and all registration/iteration take annotated util::Mutex locks, so
+ * a Clang -Wthread-safety build proves the guarded state is only
+ * touched under its lock.
  * Single-threaded behavior — including every exported byte — is
  * unchanged.
  */

@@ -145,18 +145,17 @@ struct Span
  * ids; everything is deterministic (dense ids in open order, ordered
  * maps).
  *
- * Thread safety (shard-readiness, ROADMAP Open item 1): the one
- * collector is exactly the kind of cross-shard shared state the
- * parallel engine introduces — every machine's SpanTracer opens,
- * charges, and closes spans on it. All state is guarded by one
- * annotated util::Mutex. Span nodes live in an arena-backed
- * util::ChunkedVector (ISSUE 8 hot-path pass): growth appends whole
- * chunks and never moves existing nodes, so a reference returned by
- * span() stays valid for the collector's lifetime even across
- * concurrent open()s. Reading a span's *fields* concurrently with a
- * charge() on the same span is still a race; exports and queries over
- * returned references run at shard barriers, when no tracer is
- * mutating.
+ * Thread safety (worlds may run on separate threads in the parallel
+ * sweeps of ROADMAP item 3): the one collector is shared state —
+ * every machine's SpanTracer opens, charges, and closes spans on it.
+ * All state is guarded by one annotated util::Mutex. Span nodes live
+ * in an arena-backed util::ChunkedVector (ISSUE 8 hot-path pass):
+ * growth appends whole chunks and never moves existing nodes, so a
+ * reference returned by span() stays valid for the collector's
+ * lifetime even across concurrent open()s. Reading a span's *fields*
+ * concurrently with a charge() on the same span is still a race;
+ * exports and queries over returned references run at shard
+ * barriers, when no tracer is mutating.
  */
 class SpanCollector
 {

@@ -10,14 +10,14 @@
  * happens under its lock. GCC compiles the same code with the
  * attributes expanded to nothing.
  *
- * This layer exists for ROADMAP Open item 1 (the sharded parallel
- * simulation engine): components shared across per-machine worker
- * threads — the telemetry registry, the logging singletons, the span
- * collector, the fault-injector tallies, the event-queue insertion
- * surface — take their locks through these wrappers and annotate the
- * state they guard, making shard-safety checkable before the engine
- * lands. See docs/STATIC_ANALYSIS.md ("Concurrency readiness") and
- * DESIGN.md ("Shard-safety contract").
+ * This layer exists because worlds may run on separate threads in
+ * the parallel sweeps of ROADMAP item 3: components that may be
+ * reached from more than one thread — the telemetry registry, the
+ * logging singletons, the span collector, the fault-injector tallies,
+ * the event-queue insertion surface — take their locks through these
+ * wrappers and annotate the state they guard, making thread-safety
+ * checkable at compile time. See docs/STATIC_ANALYSIS.md
+ * ("Concurrency readiness") and DESIGN.md ("Shard-safety contract").
  */
 
 #ifndef PCON_UTIL_SYNC_H

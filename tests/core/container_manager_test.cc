@@ -209,6 +209,36 @@ TEST(ContainerManager, ObserverEffectCompensationKeepsAccountingClean)
     EXPECT_GT(raw, clean + 1000.0); // injected instructions leak in
 }
 
+TEST(ContainerManager, UncompensatedObserverCyclesNeverOutrunTheWindow)
+{
+    // The exaggerated per-sample cost of the Section 3.5 ablation,
+    // left uncompensated. Its non-halt cycles take no simulated time,
+    // so on a fully busy core they would push short windows (the
+    // round-robin switches between two requests) past utilization 1.
+    ContainerManagerConfig cfg;
+    cfg.injectObserverEffect = true;
+    cfg.compensateObserverEffect = false;
+    cfg.observerCost = hw::CounterSnapshot{0, 80000, 60000, 500, 100, 0};
+    MachineConfig mc = linearConfig();
+    mc.coresPerChip = 1;
+    World w(cfg, mc);
+    ActivityVector act{1.0, 0.0, 0.0, 0.0};
+    RequestId a = w.requests.create("a", w.sim.now());
+    RequestId b = w.requests.create("b", w.sim.now());
+    w.kernel.spawn(computeOnce(20e6, act), "ta", a);
+    w.kernel.spawn(computeOnce(20e6, act), "tb", b);
+    w.sim.run(msec(50));
+    w.requests.complete(a, w.sim.now());
+    w.requests.complete(b, w.sim.now());
+
+    // The core was busy for 40 ms at 1 GHz: the attributed non-halt
+    // cycles cannot exceed that however much the observer injected.
+    ASSERT_EQ(w.manager.records().size(), 2u);
+    double nonhalt = w.manager.records()[0].events.nonhaltCycles +
+        w.manager.records()[1].events.nonhaltCycles;
+    EXPECT_LE(nonhalt, 40e6 * (1 + 1e-9));
+}
+
 TEST(ContainerManager, RebindMidRunSplitsAttribution)
 {
     World w;

@@ -14,7 +14,7 @@
 #include "core/anomaly.h"
 #include "core/conditioning.h"
 #include "core/energy_quota.h"
-#include "core/trace.h"
+#include "trace/span_tracer.h"
 #include "workloads/apps.h"
 #include "workloads/client.h"
 #include "workloads/experiment.h"
@@ -86,7 +86,8 @@ TEST(FullPipeline, AllFacilitiesComposeOnGaeHybrid)
     conditioner.install();
     conditioner.enable();
 
-    core::RequestTracer tracer(world.kernel(), world.manager());
+    trace::SpanCollector spans;
+    trace::SpanTracer tracer(world.kernel(), world.manager(), spans, 0);
     world.kernel().addHooks(&tracer);
 
     core::AnomalyDetectorConfig det_cfg;
@@ -117,14 +118,17 @@ TEST(FullPipeline, AllFacilitiesComposeOnGaeHybrid)
     world.run(sec(4));
     client.stop();
 
-    // 1. The virus completed, is in the records, and was traced.
-    bool virus_completed = false;
+    // 1. The virus completed, is in the records, and was traced: its
+    // root span closed and its spans partition its container ledger.
+    const core::RequestRecord *virus_record = nullptr;
     for (const core::RequestRecord &r : world.manager().records())
-        virus_completed |= r.id == virus;
-    ASSERT_TRUE(virus_completed);
-    EXPECT_FALSE(tracer.events(virus).empty());
-    EXPECT_EQ(tracer.events(virus).back().kind,
-              core::TraceEvent::Kind::Completed);
+        if (r.id == virus)
+            virus_record = &r;
+    ASSERT_NE(virus_record, nullptr);
+    ASSERT_NE(spans.rootOf(virus), trace::NoSpan);
+    EXPECT_FALSE(spans.span(spans.rootOf(virus)).open);
+    EXPECT_NEAR(spans.requestEnergyJ(virus).value(),
+                virus_record->totalEnergyJ().value(), 1e-6);
 
     // 2. The detector flagged it (and only power-hungry requests).
     std::vector<core::PowerAnomaly> anomalies = detector.scan();

@@ -110,6 +110,12 @@ TEST(Report, EmptyCollectorYieldsHeadersOnly)
               std::string::npos);
     std::string path = reportCriticalPath(index, 42);
     EXPECT_FALSE(path.empty());
+    // A request with no spans renders the headers and a zero total.
+    EXPECT_EQ(reportStageBreakdown(index, 42),
+              "stages of request 42 (?)\n"
+              "span parent kind machine name energy_j avg_power_w"
+              " cpu_ms io_bytes\n"
+              "total 0.000000\n");
 }
 
 // --- byte-identity vs the pre-refactor goldens ---------------------

@@ -1,8 +1,8 @@
 """Shard-escape rule: shard-owned state must not leak off its shard.
 
-The future PDES engine (ROADMAP item 1) runs one worker thread per
-simulated machine. Its byte-identical-results gate holds only if no
-mutable shard state is reachable from outside the shard except
+Worlds may run on separate threads in the parallel sweeps of ROADMAP
+item 3. Their byte-identical-results gate holds only if no mutable
+shard state is reachable from outside the shard except
 through the sanctioned channels (ownership.toml [channels]: sockets,
 the remote-request ledger, the kernel hook surface, ...). This rule
 proves that property on the current tree using the cross-TU

@@ -1,9 +1,10 @@
 """Shared-state rule: no undeclared mutable globals.
 
 Namespace-scope variables and function-local ``static`` variables are
-process-wide shared state: once shards run in parallel (ROADMAP Open
-item 1), every one of them is a data race waiting for the thread that
-writes it. This rule requires each such variable in ``src/`` to be
+process-wide shared state: once worlds run on separate threads (the
+parallel sweeps of ROADMAP item 3), every one of them is a data race
+waiting for the thread that writes it. This rule requires each such
+variable in ``src/`` to be
 
   * ``const`` / ``constexpr`` / ``constinit const`` (immutable), or
   * ``PCON_GUARDED_BY(<mutex>)`` — Clang's thread-safety analysis
