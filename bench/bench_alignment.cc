@@ -5,15 +5,21 @@
  * story, over the 1024-sample window the online recalibrator uses.
  * Covers the dense scan, the gap-tolerant sparse scan (10% dropped
  * samples), and the mixed-period resampled scan that matches a 1 s
- * Wattsup series against 1 ms model estimates.
+ * Wattsup series against 1 ms model estimates. The refit that the
+ * aligned samples feed is timed too: one non-negative least-squares
+ * solve at the recalibrator's steady-state shape on SandyBridge.
  */
 
 #include <vector>
 
 #include "core/alignment.h"
+#include "core/recalibration.h"
+#include "hw/config.h"
+#include "linalg/least_squares.h"
 #include "pcon_bench.h"
 #include "sim/rng.h"
 #include "sim/time.h"
+#include "workloads/microbench.h"
 
 namespace {
 
@@ -87,6 +93,49 @@ main()
                       volatile long sink = best;
                       (void)sink;
                   });
+    }
+
+    {
+        // One OnlineRecalibrator::refitNow solve at the SandyBridge
+        // Approach 3 steady state: the offline calibration rows, then
+        // a full ring of aligned online rows (jittered copies of the
+        // offline ones), one column per metric the model uses.
+        core::Calibrator calibrator =
+            wl::calibrateMachine(hw::sandyBridgeConfig());
+        core::LinearPowerModel model =
+            calibrator.fit(core::ModelKind::WithChipShare);
+        std::vector<core::CalibrationSample> offline =
+            wl::toActiveSamples(calibrator, model.idleW());
+        std::vector<core::Metric> cols;
+        for (std::size_t i = 0; i < core::NumMetrics; ++i)
+            if (model.usesMetric(static_cast<core::Metric>(i)))
+                cols.push_back(static_cast<core::Metric>(i));
+        std::size_t rows = offline.size() +
+            core::RecalibratorConfig{}.maxOnlineSamples;
+        linalg::Matrix design(rows, cols.size());
+        linalg::Vector target(rows);
+        sim::Rng refit_rng(80);
+        for (std::size_t r = 0; r < rows; ++r) {
+            const core::CalibrationSample &s = offline[r % offline.size()];
+            bool online = r >= offline.size();
+            double jitter = online ? refit_rng.uniform(0.8, 1.2) : 1.0;
+            for (std::size_t c = 0; c < cols.size(); ++c)
+                design(r, c) = s.metrics.get(cols[c]) * jitter;
+            target[r] = s.measuredFullW * jitter +
+                (online ? refit_rng.normal(0.0, 0.5) : 0.0);
+        }
+        suite.add("recalibration.refit_nnls_steady_state", 200,
+                  [&design, &target](std::uint64_t iters) {
+                      double sum = 0.0;
+                      for (std::uint64_t i = 0; i < iters; ++i)
+                          sum += linalg::solveNonNegativeLeastSquares(
+                                     design, target)
+                                     .rmse;
+                      volatile double sink = sum;
+                      (void)sink;
+                  });
+        suite.aux("rows", static_cast<double>(rows));
+        suite.aux("cols", static_cast<double>(cols.size()));
     }
 
     suite.writeJson();

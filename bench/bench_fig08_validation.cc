@@ -13,6 +13,9 @@
  * (Approach 2) and 8/9/6% (Approach 3) for Woodcrest / Westmere /
  * SandyBridge. The recalibration step matters most for the
  * unusually high-power Stress workload.
+ *
+ * Exits nonzero unless the worst case steps down approach
+ * 1 > 2 > 3 on every machine.
  */
 
 #include <map>
@@ -91,6 +94,7 @@ runScenario()
     bench::CsvSink csv("fig08_validation");
     csv.row("machine", "workload", "load", "approach",
             "validation_error");
+    int rc = 0;
     for (const hw::MachineConfig &cfg :
          {hw::woodcrestConfig(), hw::westmereConfig(),
           hw::sandyBridgeConfig()}) {
@@ -120,10 +124,16 @@ runScenario()
         bench::row("WORST CASE",
                    {bench::pct(worst[1]), bench::pct(worst[2]),
                     bench::pct(worst[3])});
+        if (!(worst[1] > worst[2] && worst[2] > worst[3])) {
+            std::printf("FAIL: %s worst case does not step down "
+                        "approach 1 > 2 > 3\n",
+                        cfg.name.c_str());
+            rc = 1;
+        }
     }
     std::printf("\nPaper worst cases: Woodcrest 29/18/8%%, Westmere "
                 "41/35/9%%, SandyBridge 20/13/6%%.\n");
-    return 0;
+    return rc;
 }
 
 int

@@ -48,15 +48,14 @@ Calibrator::fit(ModelKind kind, double *rmse_w) const
                   "calibration needs at least ", cols.size() + 1,
                   " samples, have ", samples_.size());
 
-    linalg::Matrix design;
-    linalg::Vector target;
-    for (const CalibrationSample &s : samples_) {
-        linalg::Vector row;
-        row.push_back(1.0); // intercept = idle power
-        for (Metric m : cols)
-            row.push_back(s.metrics.get(m));
-        design.appendRow(row);
-        target.push_back(s.measuredFullW);
+    linalg::Matrix design(samples_.size(), cols.size() + 1);
+    linalg::Vector target(samples_.size());
+    for (std::size_t r = 0; r < samples_.size(); ++r) {
+        const CalibrationSample &s = samples_[r];
+        design(r, 0) = 1.0; // intercept = idle power
+        for (std::size_t c = 0; c < cols.size(); ++c)
+            design(r, c + 1) = s.metrics.get(cols[c]);
+        target[r] = s.measuredFullW;
     }
 
     linalg::LsqResult fit_result =

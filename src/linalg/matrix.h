@@ -37,10 +37,16 @@ class Matrix
     std::size_t cols() const { return cols_; }
 
     /** Unchecked element access. */
-    double &operator()(std::size_t r, std::size_t c);
+    double &operator()(std::size_t r, std::size_t c)
+    {
+        return data_[r * cols_ + c];
+    }
 
     /** Unchecked element access (const). */
-    double operator()(std::size_t r, std::size_t c) const;
+    double operator()(std::size_t r, std::size_t c) const
+    {
+        return data_[r * cols_ + c];
+    }
 
     /** Checked element access; panics out of range. */
     double &at(std::size_t r, std::size_t c);

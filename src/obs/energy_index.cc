@@ -68,7 +68,6 @@ EnergyIndex::entryFor(os::RequestId request)
     if (it != requests_.end())
         return it->second;
     PerRequest &entry = requests_[request];
-    entry.rootName = "?";
     ranking_.insert(RankKey{util::Joules{0}, request});
     return entry;
 }

@@ -175,7 +175,7 @@ class EnergyIndex : public trace::SpanObserver
   private:
     struct PerRequest
     {
-        std::string rootName;
+        std::string rootName = "?";
         std::vector<trace::SpanId> spans;
         std::size_t open = 0;
         util::Joules energyJ{0};

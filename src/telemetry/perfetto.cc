@@ -246,7 +246,7 @@ PerfettoExporter::samplePower(core::ContainerManager &manager)
         power.ts = now;
         power.pid = kPidContainers;
         power.name = base + ".power_w";
-        power.argName = "w";
+        power.argName.assign(1, 'w');
         power.argValue = c.lastPowerW().value();
         power.hasArg = true;
         counterTracks_.emplace(power.name, true);
@@ -256,7 +256,7 @@ PerfettoExporter::samplePower(core::ContainerManager &manager)
         energy.ts = now;
         energy.pid = kPidContainers;
         energy.name = base + ".energy_j";
-        energy.argName = "j";
+        energy.argName.assign(1, 'j');
         energy.argValue = c.totalEnergyJ().value();
         energy.hasArg = true;
         counterTracks_.emplace(energy.name, true);

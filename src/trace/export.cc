@@ -29,10 +29,12 @@ framePath(const SpanCollector &collector, const Span &span)
     for (const Span *s : chain) {
         if (!path.empty())
             path += ';';
-        if (s->kind == SpanKind::Root)
-            path += s->name;
-        else
-            path += "m" + std::to_string(s->machine) + "." + s->name;
+        if (s->kind != SpanKind::Root) {
+            path += 'm';
+            path += std::to_string(s->machine);
+            path += '.';
+        }
+        path += s->name;
     }
     return path;
 }

@@ -81,7 +81,8 @@ struct Rig
         auto rng = std::make_shared<sim::Rng>(42);
         for (int i = 0; i < tasks; ++i) {
             os::RequestId req =
-                requests.create("r" + std::to_string(i), sim.now());
+                requests.create(std::string("r").append(std::to_string(i)),
+                                sim.now());
             reqs.push_back(req);
             auto logic = std::make_shared<ScriptedLogic>(
                 std::vector<ScriptedLogic::Step>{
@@ -97,7 +98,8 @@ struct Rig
                             rng->uniformInt(50, 500))};
                     }},
                 true);
-            kernel.spawn(logic, "t" + std::to_string(i), req);
+            kernel.spawn(logic, std::string("t").append(std::to_string(i)),
+                         req);
         }
     }
 };

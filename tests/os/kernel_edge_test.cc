@@ -107,7 +107,8 @@ TEST(KernelEdge, PlacementFillsAllCoresOfLargeMachine)
     RequestContextManager requests;
     Kernel k(m, requests);
     for (int i = 0; i < 12; ++i)
-        k.spawn(computeOnce(1e9), "t" + std::to_string(i));
+        k.spawn(computeOnce(1e9),
+                std::string("t").append(std::to_string(i)));
     sim.run(msec(1));
     for (int c = 0; c < 12; ++c)
         EXPECT_TRUE(m.isBusy(c)) << c;
@@ -214,7 +215,8 @@ TEST(KernelEdge, TimesliceRotatesThreeWays)
     TaskId ids[3];
     for (int i = 0; i < 3; ++i)
         ids[i] = k.spawn(computeOnce(30e6),
-                         "t" + std::to_string(i), NoRequest, 0);
+                         std::string("t").append(std::to_string(i)),
+                         NoRequest, 0);
     // All three need 30 ms; with fair slicing nobody finishes before
     // ~85 ms and all finish by ~95 ms.
     sim.run(msec(84));

@@ -104,8 +104,8 @@ TEST_P(ConservationTest, AccountedMatchesMeasuredActiveEnergy)
 
     auto rng = std::make_shared<sim::Rng>(s.seed);
     for (int i = 0; i < s.tasks; ++i) {
-        os::RequestId req =
-            requests.create("r" + std::to_string(i), sim.now());
+        os::RequestId req = requests.create(
+            std::string("r").append(std::to_string(i)), sim.now());
         // Random activity signature and compute/sleep rhythm.
         ActivityVector act{rng->uniform(0.5, 2.5),
                            rng->uniform(0.0, 0.5),
@@ -127,7 +127,8 @@ TEST_P(ConservationTest, AccountedMatchesMeasuredActiveEnergy)
                         rng->uniformInt(100, 4000))};
                 }},
             true);
-        kernel.spawn(logic, "t" + std::to_string(i), req);
+        kernel.spawn(logic, std::string("t").append(std::to_string(i)),
+                     req);
     }
 
     sim.run(msec(200)); // settle

@@ -102,7 +102,7 @@ TEST_P(PredictionPropertyTest, PredictionIdentitiesHold)
     int types = 2 + static_cast<int>(GetParam() % 4);
     for (int t = 0; t < types; ++t) {
         RequestRecord r;
-        r.type = "t" + std::to_string(t);
+        r.type = std::string("t").append(std::to_string(t));
         r.cpuEnergyJ = util::Joules(rng.uniform(0.05, 2.0));
         r.cpuTimeNs = rng.uniform(2e6, 60e6);
         profiles.add(r);

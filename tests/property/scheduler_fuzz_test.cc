@@ -214,10 +214,14 @@ INSTANTIATE_TEST_SUITE_P(
                       FuzzCase{1, 2, 30, 110}),
     [](const ::testing::TestParamInfo<FuzzCase> &info) {
         const FuzzCase &c = info.param;
-        return "m" + std::to_string(c.chips) + "x" +
-            std::to_string(c.coresPerChip) + "_t" +
-            std::to_string(c.tasks) + "_s" +
-            std::to_string(c.seed);
+        return std::string("m")
+            .append(std::to_string(c.chips))
+            .append("x")
+            .append(std::to_string(c.coresPerChip))
+            .append("_t")
+            .append(std::to_string(c.tasks))
+            .append("_s")
+            .append(std::to_string(c.seed));
     });
 
 } // namespace
