@@ -8,9 +8,11 @@
  * Paper shape: the first increment on SandyBridge is substantially
  * larger than the rest (shared chip maintenance power); on Woodcrest
  * the first *two* increments are larger because the Linux placement
- * policy spreads tasks across both sockets.
+ * policy spreads tasks across both sockets. The driver exits 1 unless
+ * the first increment on each chip exceeds every later one.
  */
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -52,7 +54,10 @@ activePowerWithCores(const hw::MachineConfig &cfg, int busy)
     return avg_full - cfg.truth.machineIdleW;
 }
 
-void
+/** Print and record the increments; true when the first one per
+ * chip (the spread placement's chip wake-ups) exceeds every later
+ * one. */
+bool
 runMachine(const hw::MachineConfig &cfg, bench::CsvSink &csv)
 {
     bench::section("Machine with " + cfg.name + " (" +
@@ -60,8 +65,10 @@ runMachine(const hw::MachineConfig &cfg, bench::CsvSink &csv)
                    std::to_string(cfg.coresPerChip) + " cores)");
     bench::row("transition", {"incremental W"});
     double previous = 0.0;
+    std::vector<double> increments;
     for (int busy = 1; busy <= cfg.totalCores(); ++busy) {
         double active = activePowerWithCores(cfg, busy);
+        increments.push_back(active - previous);
         std::string label = busy == 1
             ? "idle -> 1 core"
             : std::to_string(busy - 1) + " -> " +
@@ -70,6 +77,14 @@ runMachine(const hw::MachineConfig &cfg, bench::CsvSink &csv)
         csv.row(cfg.name, busy, active - previous, active);
         previous = active;
     }
+    auto wakeups_end = increments.begin() + cfg.chips;
+    if (*std::min_element(increments.begin(), wakeups_end) >
+        *std::max_element(wakeups_end, increments.end()))
+        return true;
+    std::printf("FAIL: %s's first %d increment(s) do not exceed the "
+                "later ones\n",
+                cfg.name.c_str(), cfg.chips);
+    return false;
 }
 
 } // namespace
@@ -82,14 +97,14 @@ runScenario()
                   "active power");
     bench::CsvSink csv("fig01_incremental_power");
     csv.row("machine", "busy_cores", "incremental_w", "active_w");
-    runMachine(hw::sandyBridgeConfig(), csv);
-    runMachine(hw::woodcrestConfig(), csv);
+    bool shaped = runMachine(hw::sandyBridgeConfig(), csv);
+    shaped = runMachine(hw::woodcrestConfig(), csv) && shaped;
     std::printf("\nExpected shape: the first increment (SandyBridge) "
                 "and the first two\nincrements (dual-socket "
                 "Woodcrest) exceed the remaining ones, because\n"
                 "shared chip maintenance power switches on with the "
                 "first core of each\nsocket.\n");
-    return 0;
+    return shaped ? 0 : 1;
 }
 
 int

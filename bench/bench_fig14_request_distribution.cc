@@ -10,6 +10,8 @@
  * ~25% versus machine-aware-only distribution. (Table 1): simple
  * load balance suffers much worse response times (it overloads the
  * slower Woodcrest); both heterogeneity-aware policies stay fast.
+ * The driver exits 1 unless total active power steps down simple >
+ * machine-aware > workload-aware.
  */
 
 #include <memory>
@@ -109,6 +111,11 @@ runScenario()
     std::printf("\nPaper shape: ~30%% / ~25%% energy savings; simple "
                 "balance suffers far\nworse response times because "
                 "it overloads the slower machine.\n");
+    if (!(totals[0] > totals[1] && totals[1] > totals[2])) {
+        std::printf("FAIL: total active power does not step down "
+                    "simple > machine-aware > workload-aware\n");
+        return 1;
+    }
     return 0;
 }
 

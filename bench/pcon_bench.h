@@ -2,7 +2,7 @@
  * @file
  * pcon-bench: the one benchmark-timing harness for bench/. All host
  * timing in benchmark drivers goes through this header — the
- * `bench-timing` pcon-lint rule forbids raw std::chrono / rdtsc /
+ * `wall-clock` pcon-lint rule forbids raw std::chrono / rdtsc /
  * clock_gettime calls anywhere else under bench/ — so every target
  * shares one warmup+repeat protocol and one machine-readable output
  * format (the pcon-bench-v1 schema, src/perf/bench_schema.h).

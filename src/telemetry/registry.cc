@@ -7,20 +7,6 @@
 namespace pcon {
 namespace telemetry {
 
-std::size_t
-Counter::writerShard()
-{
-    // Round-robin writer-id allocation: the first add() a thread
-    // performs (on any counter) claims the next id; shard = id mod
-    // kShards. The main thread always gets id 0, so single-threaded
-    // runs use shard 0 exclusively.
-    // pcon-lint: allow(shared-state) process-wide writer-id allocator; a relaxed atomic ticket
-    static util::Atomic<std::uint64_t> nextWriter;
-    thread_local std::size_t shard = static_cast<std::size_t>(
-        nextWriter.fetchAdd(1) % kShards);
-    return shard;
-}
-
 const char *
 instrumentKindName(InstrumentKind kind)
 {

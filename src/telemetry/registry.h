@@ -13,20 +13,15 @@
  *
  * Thread safety (worlds may run on separate threads in the parallel
  * sweeps of ROADMAP item 3): the registry may be shared by several.
- * Counter updates go to per-writer cache-line-padded shards (relaxed
- * atomics) merged deterministically at read; Gauge updates are
- * relaxed atomics (tallies, not synchronization); Histogram updates
- * and all registration/iteration take annotated util::Mutex locks, so
- * a Clang -Wthread-safety build proves the guarded state is only
- * touched under its lock.
- * Single-threaded behavior — including every exported byte — is
- * unchanged.
+ * Counter and Gauge updates are relaxed atomics (tallies, not
+ * synchronization); Histogram updates and all registration/iteration
+ * take annotated util::Mutex locks, so a Clang -Wthread-safety build
+ * proves the guarded state is only touched under its lock.
  */
 
 #ifndef PCON_TELEMETRY_REGISTRY_H
 #define PCON_TELEMETRY_REGISTRY_H
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -51,64 +46,26 @@ enum class InstrumentKind {
 const char *instrumentKindName(InstrumentKind kind);
 
 /**
- * A monotonically increasing event count, sharded per logical writer.
- * Safe to add() from any shard concurrently.
- *
- * Each writer thread is assigned one of kShards cache-line-padded
- * relaxed-atomic cells on its first add() anywhere (round-robin over
- * a process-wide writer id), so concurrent writers on different
- * shards never contend on one cache line. value() merges at read
- * time by summing the cells in fixed index order — unsigned addition
- * is exact and order-independent, so the merge is deterministic.
- *
- * Read-during-merge contract (see docs/PERFORMANCE.md):
- *  - value() never tears or double-counts: each cell is read with one
- *    atomic load and every add() lands in exactly one cell.
- *  - value() includes every add() that happens-before the read and
- *    may include any subset of concurrent add()s — it is a weak
- *    snapshot, not a linearizable one (two racing adds on different
- *    shards can be observed in either order).
- *  - successive value() calls from one reader are non-decreasing:
- *    each cell is monotone, and a later merge re-reads every cell at
- *    a later time.
- *  - single-threaded runs put every add() in the caller's one shard,
- *    so totals — and every exported byte — are unchanged.
+ * A monotonically increasing event count. Safe to add() from any
+ * shard concurrently: one relaxed util::Atomic, so concurrent writers
+ * never lose an update and value() never tears (see
+ * docs/PERFORMANCE.md). Every world writes its own counters from one
+ * thread, so the cell is uncontended in practice. value() includes
+ * every add() that happens-before the read and may include any subset
+ * of concurrent add()s; successive reads from one reader are
+ * non-decreasing.
  */
 class Counter
 {
   public:
-    /** Add `n` events (hot path; O(1), lock-free, contention-free
-     * across writers on distinct shards). */
-    void add(std::uint64_t n = 1)
-    {
-        shards_[writerShard()].v.fetchAdd(n);
-    }
+    /** Add `n` events (hot path; O(1), lock-free). */
+    void add(std::uint64_t n = 1) { value_.fetchAdd(n); }
 
-    /** Current cumulative count: deterministic fixed-order merge of
-     * all writer shards (weak snapshot; see class comment). */
-    std::uint64_t
-    value() const
-    {
-        std::uint64_t total = 0;
-        for (const Shard &s : shards_)
-            total += s.v.load();
-        return total;
-    }
+    /** Current cumulative count. */
+    std::uint64_t value() const { return value_.load(); }
 
   private:
-    static constexpr std::size_t kShards = 8;
-
-    /** One writer cell, padded to a cache line. */
-    struct alignas(64) Shard
-    {
-        util::Atomic<std::uint64_t> v;
-    };
-
-    /** This thread's shard index (assigned on first use). */
-    static std::size_t writerShard();
-
-    // pcon-lint: allow(guarded-members) fixed array of padded util::Atomic cells; lock-free by design
-    std::array<Shard, kShards> shards_;
+    util::Atomic<std::uint64_t> value_{0};
 };
 
 /** A point-in-time value that can move both ways. Safe to set()/add()

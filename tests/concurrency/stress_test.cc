@@ -91,10 +91,10 @@ TEST(ConcurrencyStress, RegistryCountersGaugesHistograms)
 
 TEST(ConcurrencyStress, ShardedCounterReadDuringMergeIsMonotone)
 {
-    // The sharded Counter's read-during-merge contract (class doc in
-    // telemetry/registry.h): while writers hammer their shards, a
-    // reader's successive value() merges must be non-decreasing and
-    // never overshoot the true total; after the storm the merge is
+    // The Counter's concurrent-read contract (class doc in
+    // telemetry/registry.h): while writers hammer the counter, a
+    // reader's successive value() reads must be non-decreasing and
+    // include every published add; after the storm the total is
     // exact.
     telemetry::Registry registry;
     telemetry::Counter &counter =
@@ -109,7 +109,7 @@ TEST(ConcurrencyStress, ShardedCounterReadDuringMergeIsMonotone)
             std::uint64_t seen = counter.value();
             EXPECT_GE(seen, prev);
             // Everything the writers finished (and published via
-            // `added`) before this merge started must be included.
+            // `added`) before this read started must be included.
             EXPECT_GE(seen, floor);
             prev = seen;
         }

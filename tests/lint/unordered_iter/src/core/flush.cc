@@ -13,7 +13,7 @@ void flushAll(Journal &journal)
     }
 }
 
-// Aggregation only: order-independent, no finding.
+// Aggregation only, yet still reported: the rule is body-blind.
 long totalEnergy()
 {
     long sum = 0;

@@ -21,9 +21,9 @@ TEST(Counter, AccumulatesMonotonically)
 
 TEST(Counter, WriterShardsMergeToExactTotal)
 {
-    // Each writer thread lands on a per-writer shard; the merge at
-    // read must recover the exact sum, and once the writers are
-    // joined every read returns the identical total.
+    // Concurrent writers share one relaxed atomic cell: no add() may
+    // be lost, and once the writers are joined every read returns the
+    // identical total.
     Counter c;
     constexpr int kWriters = 8;
     constexpr std::uint64_t kPerWriter = 10000;
@@ -186,9 +186,9 @@ TEST(Registry, InvalidMetricNamesAreRejected)
     EXPECT_FALSE(Registry::validName("kernel switches"));
     EXPECT_FALSE(Registry::validName("kernel-switches"));
     Registry r;
-    // NOLINT-DETERMINISM(deliberately invalid name under test)
+    // pcon-lint: allow(determinism) deliberately invalid name under test
     EXPECT_THROW(r.counter("BadName"), util::FatalError);
-    // NOLINT-DETERMINISM(deliberately invalid name under test)
+    // pcon-lint: allow(determinism) deliberately invalid name under test
     EXPECT_THROW(r.gauge("no spaces"), util::FatalError);
 }
 

@@ -8,10 +8,10 @@ Usage:
 
 Runs the project's static-analysis rules (layering, units,
 hook-order, determinism, concurrency-primitives, shared-state,
-guarded-members, bench-timing, arena-nodes, plus the shard-isolation
-family: ownership, ownership-coverage, shard-escape,
-unordered-iteration, pointer-order, wall-clock) over the repository
-and reports findings as ``path:line: [rule] message`` lines, as a
+guarded-members, arena-nodes, plus the shard-isolation family:
+ownership, shard-escape, unordered-iteration, pointer-order,
+wall-clock) over the repository and reports findings as
+``path:line: [rule] message`` lines, as a
 JSON document with ``--json`` (used by CI to upload an artifact), or
 as SARIF 2.1.0 with ``--sarif FILE`` (uploaded to GitHub code
 scanning). ``--selftest`` first exercises the shared engine
@@ -51,13 +51,12 @@ from engine import (
     run_rules_with_stale,
 )
 from rules_arena import ArenaNodesRule
-from rules_bench_timing import BenchTimingRule
 from rules_concurrency import ConcurrencyPrimitivesRule
 from rules_determinism import DeterminismRule
 from rules_guarded_members import GuardedMembersRule
 from rules_hook_order import HookOrderRule
 from rules_layering import LayeringRule
-from rules_ownership import OwnershipCoverageRule, OwnershipRule
+from rules_ownership import OwnershipRule
 from rules_pointer_order import PointerOrderRule
 from rules_shard_escape import ShardEscapeRule
 from rules_shared_state import SharedStateRule
@@ -76,13 +75,11 @@ def default_rules(shared_types_path=None, ownership_path=None):
         ConcurrencyPrimitivesRule(),
         SharedStateRule(),
         GuardedMembersRule(shared_types_path=shared_types_path),
-        BenchTimingRule(),
         ArenaNodesRule(),
         OwnershipRule(
             ownership_path=ownership_path,
             shared_types_path=shared_types_path,
         ),
-        OwnershipCoverageRule(ownership_path=ownership_path),
         ShardEscapeRule(ownership_path=ownership_path),
         UnorderedIterationRule(),
         PointerOrderRule(),
@@ -122,8 +119,8 @@ def main(argv=None):
     parser.add_argument(
         "--strict",
         action="store_true",
-        help="fail (exit 1) on stale suppressions — allow() or "
-        "legacy markers that no longer silence any finding",
+        help="fail (exit 1) on stale suppressions — allow() "
+        "markers that no longer silence any finding",
     )
     parser.add_argument(
         "--shared-types",

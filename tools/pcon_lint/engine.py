@@ -6,12 +6,10 @@ returns Finding objects. The engine owns everything shared between
 rules: file discovery, comment/string blanking, suppression comments,
 stale-suppression detection, and the human/JSON reports.
 
-Suppression: append ``// pcon-lint: allow(<rule>)`` to the offending
-line or the line directly above it. Rules may additionally honour
-their own legacy suppression markers (the determinism rule accepts
-``NOLINT-DETERMINISM(reason)``). A suppression that no longer
-silences any finding is reported as *stale* so exemptions cannot rot;
-``--strict`` turns stale suppressions into failures.
+Suppression: append ``// pcon-lint: allow(<rule>) <reason>`` to the
+offending line or the line directly above it. A suppression that no
+longer silences any finding is reported as *stale* so exemptions
+cannot rot; ``--strict`` turns stale suppressions into failures.
 """
 
 import dataclasses
@@ -44,7 +42,7 @@ class Finding:
 
 @dataclasses.dataclass
 class Suppression:
-    """A finding silenced by an allow() or legacy marker."""
+    """A finding silenced by an allow() marker."""
 
     rule: str
     path: str
@@ -60,7 +58,7 @@ class Suppression:
 
 @dataclasses.dataclass
 class StaleSuppression:
-    """An allow()/legacy marker that silenced nothing this run."""
+    """An allow() marker that silenced nothing this run."""
 
     rule: str
     path: str
@@ -200,12 +198,17 @@ class Project:
 
     @classmethod
     def load(cls, root, scopes):
+        """Load every source file under the ``scopes`` that exist
+        (a tree need not have all of them, e.g. no bench/); raises
+        FileNotFoundError when none does."""
         root = pathlib.Path(root).resolve()
+        bases = [root / rel for rel in scopes if (root / rel).exists()]
+        if scopes and not bases:
+            raise FileNotFoundError(
+                f"none of {', '.join(scopes)} exists under {root}"
+            )
         seen = {}
-        for rel in scopes:
-            base = root / rel
-            if not base.exists():
-                raise FileNotFoundError(f"no such directory: {base}")
+        for base in bases:
             for p in sorted(base.rglob("*")):
                 if p.suffix in SOURCE_SUFFIXES and p.is_file():
                     key = p.relative_to(root).as_posix()
@@ -418,14 +421,6 @@ def run_rules_with_stale(project, rules, known_rule_names=None):
     )
 
 
-def run_rules(project, rules):
-    """Run every rule; returns (findings, suppressions) sorted by
-    path, line, rule. Thin wrapper kept for the lint_determinism
-    shim and older callers that do not consume stale markers."""
-    findings, suppressions, _ = run_rules_with_stale(project, rules)
-    return findings, suppressions
-
-
 def report_human(rules, project, findings, suppressions,
                  out=sys.stdout, stale=(), strict=False):
     for s in suppressions:
@@ -443,9 +438,9 @@ def report_human(rules, project, findings, suppressions,
             f"{len(stale)} stale suppression(s) from "
             f"{len(rules)} rule(s) over {len(project.files)} "
             f"file(s). Silence a deliberate use with "
-            f"`// pcon-lint: allow(<rule>)` on the offending line "
-            f"or the line above it; delete suppressions that no "
-            f"longer fire.\n"
+            f"`// pcon-lint: allow(<rule>) <reason>` on the "
+            f"offending line or the line above it; delete "
+            f"suppressions that no longer fire.\n"
         )
     else:
         names = ", ".join(r.name for r in rules)

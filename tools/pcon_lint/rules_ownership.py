@@ -1,39 +1,34 @@
-"""Ownership rules: the shard-ownership manifest must stay honest.
+"""Ownership rule: the shard-ownership manifest must stay honest.
 
 ``ownership.toml`` plus in-source markers classify every type the
-PDES engine will care about as shard-owned / cross-shard /
-host-global / value (see cpp_model.py). Two rules police that
-classification itself, so the escape analysis built on top of it can
-be trusted:
+escape analysis cares about as shard-owned / cross-shard /
+host-global / value (see cpp_model.py). This rule polices that
+classification itself, so the analysis built on top of it can be
+trusted. Every failure is a *finding*, not a crash — a rotten
+manifest must fail CI loudly, with a file:line pointing into the
+manifest or the offending header:
 
-``ownership``
-    Manifest and marker integrity. Every failure is a *finding*, not
-    a crash — a rotten manifest must fail CI loudly, with a file:line
-    pointing into the manifest or the offending header:
-
-      * manifest parse/shape errors (bad TOML, unknown tables,
-        non-string headers, unknown ownership class in [files]);
-      * a type listed whose name matches no scanned definition, or
-        whose declared header does not define it (the work list must
-        not rot);
-      * a type listed under two ownership classes;
-      * an in-source marker that contradicts the manifest entry for
-        the same type;
-      * a [channels] entry naming an unknown type, or a channel that
-        does not classify cross-shard (channels *are* the sanctioned
-        cross-shard surface);
-      * a [files] default naming no scanned file;
-      * a shared_types.toml type (the guarded-members work list —
-        types accessed from several shards) classified shard-owned:
-        the two manifests would contradict each other.
-
-``ownership-coverage``
-    Every non-nested type defined under the covered layers
-    ([coverage] layers in the manifest) must resolve an ownership
+  * manifest parse/shape errors (bad TOML, unknown tables,
+    non-string headers, unknown ownership class in [files]);
+  * a type listed whose name matches no scanned definition, or whose
+    declared header does not define it (the work list must not rot);
+  * a type listed under two ownership classes;
+  * an in-source marker that contradicts the manifest entry for the
+    same type;
+  * a [channels] entry naming an unknown type, or a channel that
+    does not classify cross-shard (channels *are* the sanctioned
+    cross-shard surface);
+  * a [files] default naming no scanned file;
+  * a shared_types.toml type (the guarded-members work list — types
+    accessed from several shards) classified shard-owned: the two
+    manifests would contradict each other;
+  * coverage: a non-nested type defined under the covered layers
+    ([coverage] layers in the manifest) that resolves no ownership
     class — via marker, manifest entry, or [files] default. An
     unclassified type in a covered layer is exactly the blind spot
-    the escape analysis cannot see through. Suppressible only with a
-    justified ``allow(ownership-coverage)``.
+    the escape analysis cannot see through.
+
+Suppressible only with a justified ``allow(ownership)``.
 """
 
 import pathlib
@@ -68,9 +63,11 @@ class OwnershipRule(Rule):
     name = "ownership"
     description = (
         "ownership.toml and in-source shard-ownership markers must "
-        "agree, resolve, and not rot"
+        "agree, resolve, and not rot; every type in the covered "
+        "layers has a class"
     )
     scope = ("src",)
+    require_justification = True
 
     def __init__(self, ownership_path=None, shared_types_path=None):
         self.ownership_path = ownership_path
@@ -173,6 +170,28 @@ class OwnershipRule(Rule):
                     f"shared_types.toml (cross-shard access), the "
                     f"classifications contradict",
                 )
+
+        if manifest.errors:
+            return findings  # coverage needs a well-formed manifest
+        prefixes = tuple(
+            f"src/{layer}/" for layer in manifest.coverage_layers
+        )
+        for name in sorted(model.defs):
+            for t in model.defs[name]:
+                covered = t.rel.startswith(prefixes)  # () -> False
+                if not covered or t.nested or id(t) in classes:
+                    continue
+                findings.append(
+                    Finding(
+                        self.name,
+                        t.rel,
+                        t.line,
+                        f"type '{t.name}' in a covered layer has no "
+                        f"ownership class; add a marker, an "
+                        f"ownership.toml entry, or a [files] "
+                        f"default",
+                    )
+                )
         return findings
 
     def selftest(self):
@@ -254,56 +273,9 @@ class OwnershipRule(Rule):
                 "ownership selftest: unreadable manifest did not "
                 "become a finding"
             )
-        return errors
 
-
-class OwnershipCoverageRule(Rule):
-    name = "ownership-coverage"
-    description = (
-        "every type in the covered layers resolves an ownership "
-        "class (marker, manifest, or [files] default)"
-    )
-    scope = ("src",)
-    require_justification = True
-
-    def __init__(self, ownership_path=None):
-        self.ownership_path = ownership_path
-
-    def run(self, project):
-        manifest = manifest_for(self.ownership_path)
-        if manifest.errors:
-            return []  # the ownership rule reports these
-        model = model_for(project)
-        classes, _ = classify(model, manifest)
-        prefixes = tuple(
-            f"src/{layer}/" for layer in manifest.coverage_layers
-        )
-        if not prefixes:
-            return []
-        findings = []
-        for name in sorted(model.defs):
-            for t in model.defs[name]:
-                if not t.rel.startswith(prefixes):
-                    continue
-                if t.nested or id(t) in classes:
-                    continue
-                findings.append(
-                    Finding(
-                        self.name,
-                        t.rel,
-                        t.line,
-                        f"type '{t.name}' in a covered layer has no "
-                        f"ownership class; add a marker, an "
-                        f"ownership.toml entry, or a [files] "
-                        f"default",
-                    )
-                )
-        return findings
-
-    def selftest(self):
-        import tempfile
-
-        errors = []
+        # Coverage: a marker, nested-type inheritance and a [files]
+        # default classify; only layers listed under [coverage] count.
         texts = {
             "src/os/kernel.h": (
                 "namespace pcon::os {\n"
@@ -337,20 +309,18 @@ class OwnershipCoverageRule(Rule):
             fh.write(manifest_text)
             manifest_path = fh.name
         try:
-            rule = OwnershipCoverageRule(
-                ownership_path=manifest_path
-            )
-            project = rule.project_from_texts(texts)
-            findings = rule.run(project)
+            rule = OwnershipRule(ownership_path=manifest_path)
+            findings = rule.run(rule.project_from_texts(texts))
             got = sorted(
-                (f.path, f.message.split("'")[1]) for f in findings
+                (f.path, f.line, f.message.split("'")[1])
+                for f in findings
             )
-            if got != [("src/os/kernel.h", "Orphan")]:
+            if got != [("src/os/kernel.h", 6, "Orphan")]:
                 errors.append(
-                    f"coverage selftest: expected exactly Orphan "
-                    f"uncovered, got {got} (marker, nested-type "
-                    f"inheritance, [files] default, or layer "
-                    f"filtering is broken)"
+                    f"ownership selftest: expected exactly Orphan "
+                    f"uncovered at src/os/kernel.h:6, got {got} "
+                    f"(marker, nested-type inheritance, [files] "
+                    f"default, or layer filtering is broken)"
                 )
         finally:
             pathlib.Path(manifest_path).unlink()

@@ -17,11 +17,12 @@ patterns through which addresses leak into an observable order:
   * ``reinterpret_cast<uintptr_t>`` — laundering an address into an
     integer, almost always to compare or hash it.
 
-Smart-pointer keys (``unique_ptr``/``shared_ptr``) compare by the
-held address and are caught by the same ``*``-in-key patterns where
-spelled with a raw pointer; a genuinely order-insensitive use (e.g.
-an address key in a debug-only cache) takes a justified
-``allow(pointer-order)``.
+The key is everything up to the first ``,`` or ``>``, so a pointer
+inside a template key (``std::set<std::unique_ptr<Foo *>>``) counts
+too. Smart-pointer keys (``unique_ptr``/``shared_ptr``) compare by
+the held address and are caught where spelled with a raw pointer; a
+genuinely order-insensitive use (e.g. an address key in a debug-only
+cache) takes a justified ``allow(pointer-order)``.
 """
 
 import re
@@ -32,7 +33,7 @@ PATTERNS = [
     (
         re.compile(
             r"std\s*::\s*(?:map|set|multimap|multiset)\s*<"
-            r"[^,<>]*\*\s*[,>]"
+            r"[^,>]*\*\s*[,>]"
         ),
         "ordered container keyed by raw pointer; iteration order "
         "is the allocator's, use dense ids",
@@ -40,7 +41,7 @@ PATTERNS = [
     (
         re.compile(
             r"std\s*::\s*unordered_(?:map|set|multimap|multiset)"
-            r"\s*<[^,<>]*\*\s*[,>]"
+            r"\s*<[^,>]*\*\s*[,>]"
         ),
         "unordered container keyed by raw pointer; bucket order "
         "hashes the address, use dense ids",
@@ -103,6 +104,7 @@ class PointerOrderRule(Rule):
                     "// pcon-lint: allow(pointer-order) debug-only "
                     "identity cache, never serialized\n"
                     "std::hash<Op *> debug_h;\n"
+                    "std::set<std::unique_ptr<Foo *>> owned;\n"
                 ),
             }
         )
@@ -110,10 +112,10 @@ class PointerOrderRule(Rule):
 
         kept, sups, _ = run_rules_with_stale(project, [rule])
         got = sorted({f.line for f in kept})
-        if got != [1, 2, 3, 4, 5]:
+        if got != [1, 2, 3, 4, 5, 10]:
             errors.append(
                 f"pointer-order selftest: expected findings on "
-                f"lines 1-5 only, got {got} (pointer *values* in "
+                f"lines 1-5 and 10, got {got} (pointer *values* in "
                 f"maps and string keys must stay quiet; the "
                 f"justified allow must suppress line 9)"
             )

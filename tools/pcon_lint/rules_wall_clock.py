@@ -1,54 +1,52 @@
-"""Wall-clock rule: every timestamp in src/ derives from sim time.
+"""Wall-clock rule: simulated time comes from the simulation clock.
 
-The bench-timing rule polices ``bench/``; the determinism rule
-polices the deterministic core. This rule closes the gap: *all* of
-``src/`` — including os/, util/, fault/, and workloads/ where the
-determinism rule does not reach — must take time from the simulation
-clock (``sim::Simulation::now()``), never from the host. A host
-timestamp anywhere in src/ is either a latent determinism bug (it
-will differ per shard thread under the PDES engine) or a
-self-measurement that belongs in ``telemetry::OverheadProfiler``.
+Every timestamp in ``src/`` derives from ``sim::Simulation::now()``;
+a host clock read there is either a reproducibility bug or a
+self-measurement that belongs in ``telemetry::OverheadProfiler``. In
+``bench/`` all host timing goes through the pcon_bench harness
+(``bench/pcon_bench.h``), so every driver shares one warmup+repeat
+protocol and one BENCH_<topic>.json format that tools/bench_report
+can compare.
 
-Flags ``std::chrono`` system/steady/high_resolution clocks, the C
-clock family (``time``/``clock``/``gettimeofday``/``clock_gettime``
-/``timespec_get``), and TSC intrinsics (``__rdtsc``/``__rdtscp``/
-``_mm_rdtsc``).
+Flags any ``std::chrono`` token (which also catches ``using
+namespace std::chrono``), the C clock family (``time``/``clock``/
+``gettimeofday``/``clock_gettime``/``timespec_get``), and cycle
+counter reads (``__rdtsc``/``__rdtscp``/``_rdtsc``/``rdtsc``/
+``_mm_rdtsc``/``__builtin_readcyclecounter``).
 
-The two sanctioned exceptions keep their existing markers: the
-OverheadProfiler's self-measurement sites carry
-``NOLINT-DETERMINISM(reason)``, which this rule honours exactly like
-the determinism rule does (one marker satisfies both, and stale
-detection still applies to it). Anything new needs a justified
-``allow(wall-clock)`` — bare allows do not suppress.
+The sanctioned host clocks (the OverheadProfiler's timing and the
+harness's own clock) carry a justified ``allow(wall-clock)``; a bare
+allow does not suppress.
 """
 
 import re
 
 from engine import Finding, Rule
-from rules_determinism import LEGACY_SUPPRESS_RE
 
 PATTERNS = [
     (
-        re.compile(
-            r"std\s*::\s*chrono\s*::\s*"
-            r"(?:system_clock|steady_clock|high_resolution_clock)"
-        ),
-        "host chrono clock; derive timestamps from "
-        "sim::Simulation::now()",
+        re.compile(r"std\s*::\s*chrono"),
+        "host std::chrono; simulated components use "
+        "sim::Simulation::now(), bench drivers the pcon_bench "
+        "harness",
     ),
     (
         re.compile(
             r"(?<![\w:.])(?:time|clock|gettimeofday|clock_gettime|"
             r"timespec_get)\s*\("
         ),
-        "C wall-clock call; derive timestamps from "
-        "sim::Simulation::now()",
+        "C wall-clock call; simulated components use "
+        "sim::Simulation::now(), bench drivers the pcon_bench "
+        "harness",
     ),
     (
-        re.compile(r"(?<!\w)(?:__rdtscp?|_mm_rdtsc)\s*\("),
-        "TSC read; cycle counters differ per shard thread, use sim "
-        "time (self-measurement belongs in "
-        "telemetry::OverheadProfiler)",
+        re.compile(
+            r"(?<!\w)(?:__rdtscp?|_rdtsc|rdtsc|_mm_rdtsc|"
+            r"__builtin_readcyclecounter)\s*\("
+        ),
+        "cycle counter read; self-measurement belongs in "
+        "telemetry::OverheadProfiler, bench timing in "
+        "bench::cycleCount()",
     ),
 ]
 
@@ -56,10 +54,10 @@ PATTERNS = [
 class WallClockRule(Rule):
     name = "wall-clock"
     description = (
-        "all of src/ takes time from the sim clock; host clocks "
-        "only in bench/ and telemetry::OverheadProfiler"
+        "src/ takes time from the sim clock and bench/ from the "
+        "pcon_bench harness; no other host clock reads"
     )
-    scope = ("src",)
+    scope = ("src", "bench")
     require_justification = True
 
     def run(self, project):
@@ -75,35 +73,6 @@ class WallClockRule(Rule):
                         )
         return findings
 
-    def suppression_at(self, source, idx):
-        """Honour the OverheadProfiler's existing
-        NOLINT-DETERMINISM(reason) markers so one marker satisfies
-        both this rule and the determinism rule."""
-        for look in (idx, idx - 1):
-            if 0 <= look < len(source.raw_lines):
-                m = LEGACY_SUPPRESS_RE.search(source.raw_lines[look])
-                if m:
-                    return m.group(1).strip(), look
-        return super().suppression_at(source, idx)
-
-    def suppression_markers(self, source):
-        """Track legacy markers for staleness only when they sit on
-        a wall-clock pattern (or the line above one): elsewhere in
-        src/ the same marker spelling suppresses *other* determinism
-        hazards and is not this rule's to police."""
-        out = set(super().suppression_markers(source))
-        for idx, line in enumerate(source.raw_lines):
-            if not LEGACY_SUPPRESS_RE.search(line):
-                continue
-            nearby = source.blanked_lines[idx : idx + 2]
-            if any(
-                regex.search(text)
-                for text in nearby
-                for regex, _ in PATTERNS
-            ):
-                out.add(idx)
-        return sorted(out)
-
     def selftest(self):
         errors = []
         rule = WallClockRule()
@@ -115,15 +84,39 @@ class WallClockRule(Rule):
                     "time_t raw = time(nullptr);\n"
                     "uint64_t c = __rdtsc();\n"
                     "int timeout = settle_time(3);\n"
+                    "using namespace std::chrono;\n"
+                ),
+                "src/sim/clock.cc": (
+                    "#include <chrono>\n"
+                    "auto t = std::chrono::steady_clock::now();\n"
+                    "int r = rand();\n"
                 ),
                 "src/telemetry/overhead.cc": (
-                    "// NOLINT-DETERMINISM(profiler self-measures "
-                    "its own host-time overhead)\n"
+                    "// pcon-lint: allow(wall-clock) profiler "
+                    "self-measures its own host-time overhead\n"
                     "auto t = std::chrono::steady_clock::now();\n"
                 ),
                 "src/util/fmt.cc": (
                     "// pcon-lint: allow(wall-clock)\n"
                     "clock_t c = clock();\n"
+                ),
+                "bench/bench_bad.cc": (
+                    "#include <chrono>\n"
+                    "auto t0 = std::chrono::steady_clock::now();\n"
+                    "struct timespec ts;\n"
+                    "clock_gettime(CLOCK_MONOTONIC, &ts);\n"
+                    "std::uint64_t c = __rdtsc();\n"
+                    "double runtime = simulated_time(x);\n"
+                    "// pcon-lint: allow(wall-clock) host API cost\n"
+                    "std::uint64_t ok = __rdtsc();\n"
+                    "auto n = __builtin_readcyclecounter();\n"
+                ),
+                "bench/pcon_bench.cc": (
+                    "// pcon-lint: allow(wall-clock) the harness\n"
+                    "auto t = std::chrono::steady_clock::now();\n"
+                ),
+                "tests/os/sched_test.cc": (
+                    "auto t = std::chrono::steady_clock::now();\n"
                 ),
             }
         )
@@ -132,21 +125,33 @@ class WallClockRule(Rule):
         kept, sups, stale = run_rules_with_stale(project, [rule])
         got = sorted((f.path, f.line) for f in kept)
         want = [
+            ("bench/bench_bad.cc", 2),
+            ("bench/bench_bad.cc", 4),
+            ("bench/bench_bad.cc", 5),
+            ("bench/bench_bad.cc", 9),
             ("src/os/sched.cc", 1),
             ("src/os/sched.cc", 3),
             ("src/os/sched.cc", 4),
+            ("src/os/sched.cc", 6),
+            ("src/sim/clock.cc", 2),
             ("src/util/fmt.cc", 2),  # bare allow must not suppress
         ]
         if got != want:
             errors.append(
                 f"wall-clock selftest: expected findings at {want}, "
-                f"got {got} (sim.now(), settle_time() and the "
-                f"legacy-marked profiler line must stay quiet)"
+                f"got {got} (sim.now(), settle_time(), "
+                f"simulated_time(), the allowed lines and tests/ "
+                f"must stay quiet)"
             )
-        if len(sups) != 1 or "self-measures" not in sups[0].reason:
+        got_sups = sorted((s.path, s.line) for s in sups)
+        if got_sups != [
+            ("bench/bench_bad.cc", 8),
+            ("bench/pcon_bench.cc", 2),
+            ("src/telemetry/overhead.cc", 2),
+        ]:
             errors.append(
-                "wall-clock selftest: legacy NOLINT-DETERMINISM "
-                "marker not honoured"
+                f"wall-clock selftest: justified allow() markers "
+                f"not honoured, got {got_sups}"
             )
         if [(s.path, s.line) for s in stale] != [
             ("src/util/fmt.cc", 1)
